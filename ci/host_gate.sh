@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Host-complexity gate: runs bench_host_scaling at n = 8192 and 4n =
-# 32768 keys and fails when the 1-worker build or lcp wall time grows by
-# more than 6x. Work-efficient host code (the paper's linear blocking
-# and query-trie splitting) grows about 4x; a Theta(pieces x n) path
-# grows well past 6x. Only the ratio is gated, never absolute ms, so
+# 32768 keys and fails when the 1-worker build, lcp or insert wall time
+# grows by more than 6x. Work-efficient host code (the paper's linear
+# blocking, query-trie splitting and batch-proportional maintenance)
+# grows about 4x; a Theta(pieces x n) path grows well past 6x. Only the ratio is gated, never absolute ms, so
 # the gate holds on any machine.
 #
 # usage: ci/host_gate.sh [build-dir]   (default: build)
@@ -26,7 +26,7 @@ one_worker_ms() {
     t && $1 == "1" {print $2; exit}' "$1"
 }
 
-for op in build lcp; do
+for op in build lcp insert; do
   small=$(one_worker_ms "$TMP/n.txt" "$op")
   big=$(one_worker_ms "$TMP/4n.txt" "$op")
   awk -v op="$op" -v a="$small" -v b="$big" -v max="$MAX_RATIO" 'BEGIN {

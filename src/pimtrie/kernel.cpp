@@ -384,10 +384,10 @@ pim::Buffer kernel(pim::Module& mod, pim::Buffer in, std::uint64_t instance,
         PieceId id = r.u64();
         std::uint64_t n = r.u64();
         Piece& piece = require(st.pieces, id, "piece", mod.id());
-        for (std::uint64_t i = 0; i < n; ++i)
-          piece.entries.push_back(MetaEntry::deserialize(r));
-        piece.build_index(hasher, w);
-        work += piece.entries.size() * 4 + 1;
+        std::vector<MetaEntry> added(n);
+        for (auto& e : added) e = MetaEntry::deserialize(r);
+        bool appended = piece.append_entries(hasher, w, std::move(added));
+        work += (appended ? n : piece.entries.size()) * 4 + 1;
         bw.u64(piece.entries.size());
         break;
       }

@@ -1,5 +1,6 @@
 #include "pimtrie/meta_index.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/counters.hpp"
@@ -61,8 +62,19 @@ ChildPieceRef ChildPieceRef::deserialize(BufReader& r) {
 void TwoLayerIndex::insert(const hash::PolyHasher& hasher, const MetaEntry& root,
                            IndexPayload payload) {
   std::uint64_t fp = hasher.fingerprint(root.spre_hash);
-  auto [it, fresh] = first_.try_emplace(fp, fasttrie::SecondLayerIndex(w_));
+  auto it = first_.find(fp);
+  if (it == first_.end()) it = first_.emplace(fp, fasttrie::SecondLayerIndex(w_)).first;
   it->second.insert(root.srem, payload.encode());
+}
+
+bool TwoLayerIndex::contains(const hash::PolyHasher& hasher, const MetaEntry& root) const {
+  auto it = first_.find(hasher.fingerprint(root.spre_hash));
+  return it != first_.end() && it->second.contains(root.srem);
+}
+
+std::size_t TwoLayerIndex::bucket_size(std::uint64_t spre_fp) const {
+  auto it = first_.find(spre_fp);
+  return it == first_.end() ? 0 : it->second.size();
 }
 
 void TwoLayerIndex::erase(const hash::PolyHasher& hasher, const MetaEntry& root) {
@@ -146,6 +158,43 @@ void Piece::build_index(const hash::PolyHasher& hasher, unsigned w) {
   for (std::uint32_t i = 0; i < children.size(); ++i) {
     index_.insert(hasher, children[i].root, {IndexPayload::kChild, i});
   }
+}
+
+bool Piece::append_entries(const hash::PolyHasher& hasher, unsigned w,
+                           std::vector<MetaEntry> added) {
+  // build_index() inserts entries, then child roots; a repeated key keeps
+  // the last payload. Appending after the child roots matches that only
+  // while every new key is fresh. Once a second layer holds more than w
+  // strings (2w padded keys) its y-fast buckets split, and where they
+  // split depends on insertion order, so a bucket that also holds a child
+  // root must stay at or below w strings.
+  std::size_t first = entries.size();
+  entries.reserve(first + added.size());
+  for (auto& e : added) entries.push_back(std::move(e));
+  bool exact = true;
+  for (std::size_t i = first; i < entries.size(); ++i) {
+    if (index_.contains(hasher, entries[i])) {
+      exact = false;
+      break;
+    }
+    index_.insert(hasher, entries[i], {IndexPayload::kEntry, static_cast<std::uint32_t>(i)});
+    by_block_.emplace(entries[i].block, static_cast<std::uint32_t>(i));
+  }
+  if (exact) {
+    std::vector<std::uint64_t> grown;  // fingerprints that took new keys
+    for (std::size_t i = first; i < entries.size(); ++i)
+      grown.push_back(hasher.fingerprint(entries[i].spre_hash));
+    std::sort(grown.begin(), grown.end());
+    for (const auto& c : children) {
+      std::uint64_t fp = hasher.fingerprint(c.root.spre_hash);
+      if (index_.bucket_size(fp) > w && std::binary_search(grown.begin(), grown.end(), fp)) {
+        exact = false;
+        break;
+      }
+    }
+  }
+  if (!exact) build_index(hasher, w);
+  return exact;
 }
 
 const MetaEntry* Piece::entry_of(BlockId b) const {

@@ -73,6 +73,10 @@ class TwoLayerIndex {
 
   void insert(const hash::PolyHasher& hasher, const MetaEntry& root, IndexPayload payload);
   void erase(const hash::PolyHasher& hasher, const MetaEntry& root);
+  // Is root's (fingerprint(S_pre), S_rem) key indexed?
+  bool contains(const hash::PolyHasher& hasher, const MetaEntry& root) const;
+  // Strings in the second layer under this first-layer fingerprint.
+  std::size_t bucket_size(std::uint64_t spre_fp) const;
   void clear() { first_.clear(); }
   std::size_t size() const;
 
@@ -108,6 +112,12 @@ struct Piece {
 
   // Rebuilds the two-layer index over entries + child roots.
   void build_index(const hash::PolyHasher& hasher, unsigned w);
+  // Appends entries and indexes only them; existing payloads keep their
+  // indices. The result equals build_index(): when appending could
+  // differ from the rebuild's insertion order, it rebuilds instead.
+  // Returns true when the index was extended rather than rebuilt.
+  bool append_entries(const hash::PolyHasher& hasher, unsigned w,
+                      std::vector<MetaEntry> added);
   const TwoLayerIndex& index() const { return index_; }
   const MetaEntry* entry_of(BlockId b) const;
   MetaEntry* entry_of(BlockId b);

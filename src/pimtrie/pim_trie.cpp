@@ -779,6 +779,15 @@ std::string PimTrie::debug_check_deep() const {
       if (blk.trie.node(n).has_value)
         complain("block " + std::to_string(id) + " mirror stub carries a value");
     }
+    // Insert maintenance skips settled blocks on the premise that their
+    // re-partition would still find nothing to split.
+    if (info.settled) {
+      Block copy = blk;
+      std::size_t roots = partition_block(copy).roots.size();
+      if (roots > 1)
+        complain("settled block " + std::to_string(id) + " now partitions into " +
+                 std::to_string(roots) + " roots");
+    }
   }
   // Occupancy: piece entries within the split bound; meta-block-tree
   // heights within the scapegoat envelope (relaxed to the global piece

@@ -34,6 +34,7 @@
 #include "pimtrie/block.hpp"
 #include "pimtrie/config.hpp"
 #include "pimtrie/meta_index.hpp"
+#include "trie/euler_partition.hpp"
 #include "trie/query_trie.hpp"
 
 namespace ptrie::pimtrie {
@@ -158,6 +159,10 @@ class PimTrie {
     PieceId piece = kNone;      // piece holding this block's meta entry
     std::size_t space = 0;
     std::size_t keys = 0;
+    // Oversized, but its last re-partition found nothing to split (every
+    // candidate root was a mirror stub). Partitioning depends only on
+    // block content, so the block is skipped until its content changes.
+    bool settled = false;
   };
   struct HostPieceInfo {
     std::uint32_t module = 0;
@@ -207,6 +212,10 @@ class PimTrie {
       const std::vector<core::BitString>& keys, int dir);
 
   // ---- maintenance ----
+  // The per-block re-partition step (Section 5.2): cuts edges longer
+  // than the block bound in place, partitions by node weight, and drops
+  // mirror stubs from the root set. One root means nothing to split.
+  trie::PartitionResult partition_block(Block& blk) const;
   void repartition_oversized_blocks(const std::vector<BlockId>& oversized, const char* label);
   void add_meta_entries(std::vector<MetaEntry> entries, const char* label);
   void split_oversized_pieces(const char* label);

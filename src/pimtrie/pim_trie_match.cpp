@@ -437,6 +437,7 @@ PimTrie::MatchOutcome PimTrie::run_matching(trie::QueryTrie& qt, const char* lab
             auto& info = blocks_.at(spans[p.span_idx].block);
             info.space = space;
             info.keys = keys;
+            info.settled = false;
           } else if (op_kind == 2) {
             r.u64();  // removed
             std::uint64_t keys = r.u64();
@@ -445,6 +446,7 @@ PimTrie::MatchOutcome PimTrie::run_matching(trie::QueryTrie& qt, const char* lab
             auto& info = blocks_.at(spans[p.span_idx].block);
             info.keys = keys;
             info.space = space;
+            info.settled = false;
           } else if (op_kind == 3) {
             std::uint64_t nh = r.u64();
             for (std::uint64_t k = 0; k < nh; ++k) {
@@ -478,12 +480,14 @@ PimTrie::MatchOutcome PimTrie::run_matching(trie::QueryTrie& qt, const char* lab
             auto& binfo = blocks_.at(spans[p.span_idx].block);
             binfo.space = blk.space_words();
             binfo.keys = blk.trie.key_count();
+            binfo.settled = false;
             writeback.emplace_back(p.module, std::move(blk));
           } else if (op_kind == 2) {
             erase_from_block(qpieces[p.span_idx], blk, &cpu_work);
             auto& binfo = blocks_.at(spans[p.span_idx].block);
             binfo.space = blk.space_words();
             binfo.keys = blk.trie.key_count();
+            binfo.settled = false;
             writeback.emplace_back(p.module, std::move(blk));
           } else if (op_kind == 3) {
             for (auto [origin, value] : get_from_block(qpieces[p.span_idx], blk, &cpu_work))

@@ -88,7 +88,7 @@ void PimTrie::batch_insert_prepared(const std::vector<BitString>& keys,
     std::size_t kb = cfg_.block_bound();
     std::vector<BlockId> oversized;
     for (const auto& [id, info] : blocks_)
-      if (info.space > kb) oversized.push_back(id);
+      if (info.space > kb && !info.settled) oversized.push_back(id);
     if (!oversized.empty()) {
       obs::counter("maint/block_reparts").add(oversized.size());
       repartition_oversized_blocks(oversized, "insert.repart");
@@ -101,6 +101,43 @@ void PimTrie::batch_insert_prepared(const std::vector<BitString>& keys,
 
   n_keys_ = 0;
   for (const auto& [id, info] : blocks_) n_keys_ += info.keys;
+}
+
+trie::PartitionResult PimTrie::partition_block(Block& blk) const {
+  std::size_t kb = cfg_.block_bound();
+  // Cut long edges, partition by weight.
+  {
+    std::size_t max_edge_bits = std::max<std::size_t>(64, (kb > 9 ? kb - 8 : 1) * 64);
+    bool again = true;
+    while (again) {
+      again = false;
+      for (NodeId id : blk.trie.preorder_ids())
+        if (blk.trie.node(id).edge.size() > max_edge_bits) {
+          blk.trie.split_edge(id, blk.trie.node(id).edge.size() - max_edge_bits);
+          again = true;
+        }
+    }
+  }
+  auto weight = [&](NodeId id) -> std::uint64_t { return 8 + blk.trie.node(id).edge.word_count(); };
+  trie::PartitionResult part = trie::euler_partition(blk.trie, weight, kb);
+  // Mirror stubs must never root new blocks: the stub is a replica of a
+  // child block's root, and making it a root would shadow that child.
+  // Dropping a stub from the root set folds it back into its owner block
+  // (at most one extra node of slack per stub).
+  std::vector<NodeId> filtered;
+  for (NodeId rt : part.roots)
+    if (rt == blk.trie.root() || !blk.is_mirror(rt)) filtered.push_back(rt);
+  if (filtered.size() != part.roots.size()) {
+    part.roots = std::move(filtered);
+    std::vector<char> keep(blk.trie.slot_count(), 0);
+    for (NodeId rt : part.roots) keep[rt] = 1;
+    part.owner.assign(blk.trie.slot_count(), trie::kNil);
+    for (NodeId id : blk.trie.preorder_ids()) {
+      const auto& n = blk.trie.node(id);
+      part.owner[id] = keep[id] ? id : part.owner[n.parent];
+    }
+  }
+  return part;
 }
 
 void PimTrie::repartition_oversized_blocks(const std::vector<BlockId>& oversized,
@@ -124,7 +161,6 @@ void PimTrie::repartition_oversized_blocks(const std::vector<BlockId>& oversized
   std::vector<BufReader> readers;
   for (const auto& buf : results) readers.push_back(BufReader{buf});
 
-  std::size_t kb = cfg_.block_bound();
   std::vector<pim::Buffer> push(sys_->p());
   std::vector<MetaEntry> new_entries;
   std::unordered_map<std::uint64_t, PieceId> entry_piece;  // new block -> piece
@@ -158,43 +194,8 @@ void PimTrie::repartition_oversized_blocks(const std::vector<BlockId>& oversized
         p.blk = Block::deserialize(r);
         Block& blk = p.blk;
 
-        // Cut long edges, partition by weight.
-        {
-          std::size_t max_edge_bits = std::max<std::size_t>(64, (kb > 9 ? kb - 8 : 1) * 64);
-          bool again = true;
-          while (again) {
-            again = false;
-            for (NodeId id : blk.trie.preorder_ids())
-              if (blk.trie.node(id).edge.size() > max_edge_bits) {
-                blk.trie.split_edge(id, blk.trie.node(id).edge.size() - max_edge_bits);
-                again = true;
-              }
-          }
-        }
-        auto weight = [&](NodeId id) -> std::uint64_t {
-          return 8 + blk.trie.node(id).edge.word_count();
-        };
-        p.part = trie::euler_partition(blk.trie, weight, kb);
+        p.part = partition_block(blk);
         trie::PartitionResult& part = p.part;
-        // Mirror stubs must never root new blocks: the stub is a replica
-        // of a child block's root, and making it a root would shadow that
-        // child. Dropping a stub from the root set folds it back into its
-        // owner block (at most one extra node of slack per stub).
-        {
-          std::vector<NodeId> filtered;
-          for (NodeId rt : part.roots)
-            if (rt == blk.trie.root() || !blk.is_mirror(rt)) filtered.push_back(rt);
-          if (filtered.size() != part.roots.size()) {
-            part.roots = std::move(filtered);
-            std::vector<char> keep(blk.trie.slot_count(), 0);
-            for (NodeId rt : part.roots) keep[rt] = 1;
-            part.owner.assign(blk.trie.slot_count(), trie::kNil);
-            for (NodeId id : blk.trie.preorder_ids()) {
-              const auto& n = blk.trie.node(id);
-              part.owner[id] = keep[id] ? id : part.owner[n.parent];
-            }
-          }
-        }
         if (part.roots.size() <= 1) return;  // stored back unchanged below
 
         // Per-node hashes within the block (absolute), seeded by the root.
@@ -228,7 +229,9 @@ void PimTrie::repartition_oversized_blocks(const std::vector<BlockId>& oversized
     Block& blk = preps[prep_i].blk;
     trie::PartitionResult& part = preps[prep_i].part;
     if (part.roots.size() <= 1) {
-      // Nothing to split (can happen right at the boundary): store back.
+      // Nothing to split (can happen right at the boundary): store back,
+      // and skip the block until its content changes.
+      blocks_.at(bid).settled = true;
       detail::FrameWriter fw{push[module]};
       fw.begin();
       BufWriter bw{push[module]};
@@ -697,22 +700,22 @@ void PimTrie::batch_erase_prepared(const std::vector<BitString>& keys, trie::Que
   run_matching(qt, "erase", /*op_kind=*/2);
 
   // ---- deletion cascade (leaffix over the block tree, Section 5.2) ----
-  // deletable(B) = no keys in B and every child block deletable.
-  std::unordered_map<std::uint64_t, bool> deletable;
-  std::function<bool(BlockId)> mark = [&](BlockId b) -> bool {
+  // deletable(B) = no keys in B and every child block deletable. A block
+  // holding keys is never deletable, so the walk starts only from
+  // key-less blocks and stops at the first child that is not deletable.
+  std::unordered_map<BlockId, bool> deletable;
+  auto mark = [&](auto& self, BlockId b) -> bool {
     auto it = deletable.find(b);
     if (it != deletable.end()) return it->second;
     const auto& info = blocks_.at(b);
-    bool ok = info.keys == 0;
-    for (BlockId c : info.children) ok = mark(c) && ok;
-    deletable[b] = ok && b != root_block_;
-    return deletable[b];
+    bool ok = info.keys == 0 && b != root_block_;
+    for (std::size_t i = 0; ok && i < info.children.size(); ++i) ok = self(self, info.children[i]);
+    deletable.emplace(b, ok);
+    return ok;
   };
-  for (const auto& [id, info] : blocks_) mark(id);
-
   std::vector<BlockId> victims;
-  for (const auto& [id, ok] : deletable)
-    if (ok) victims.push_back(id);
+  for (const auto& [id, info] : blocks_)
+    if (info.keys == 0 && mark(mark, id)) victims.push_back(id);
   if (!victims.empty()) {
     obs::Phase maint_phase("Rebuild");
     obs::counter("maint/blocks_removed").add(victims.size());
@@ -784,7 +787,9 @@ void PimTrie::remove_blocks(const std::vector<BlockId>& victims, const char* lab
       if (parent != kNone) {
         (void)r.u64();  // key count (unchanged by mirror removal)
         (void)r.u64();  // remaining mirror count
-        blocks_.at(parent).space = r.u64();
+        auto& pinfo = blocks_.at(parent);
+        pinfo.space = r.u64();
+        pinfo.settled = false;
       }
       r.pos = end;
     }

@@ -184,6 +184,15 @@ TEST(Counters, ThreadSafeUnderPool) {
 TEST(WorkerSweepCounters, ConcurrentFirstUseRegistrationAndSnapshot) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 4000;
+  // The registry is process-global and counters persist across runs
+  // (--gtest_repeat), so assert on the delta this run adds.
+  auto race_sum = [] {
+    std::uint64_t sum = 0;
+    for (const auto& [name, value] : obs::counters_snapshot())
+      if (name.rfind("test_obs/race/", 0) == 0) sum += value;
+    return sum;
+  };
+  const std::uint64_t before = race_sum();
   std::atomic<bool> done{false};
   std::thread snapshotter([&] {
     while (!done.load(std::memory_order_relaxed)) (void)obs::counters_snapshot();
@@ -197,10 +206,7 @@ TEST(WorkerSweepCounters, ConcurrentFirstUseRegistrationAndSnapshot) {
   for (auto& th : bumpers) th.join();
   done.store(true);
   snapshotter.join();
-  std::uint64_t sum = 0;
-  for (const auto& [name, value] : obs::counters_snapshot())
-    if (name.rfind("test_obs/race/", 0) == 0) sum += value;
-  EXPECT_EQ(sum, std::uint64_t(kThreads) * kPerThread);
+  EXPECT_EQ(race_sum() - before, std::uint64_t(kThreads) * kPerThread);
 }
 
 obs::RequestSample sample(std::uint32_t tenant, const char* op, std::uint64_t key_hash,

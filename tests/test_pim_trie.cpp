@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/counters.hpp"
 #include "pim/system.hpp"
 #include "pimtrie/pim_trie.hpp"
 #include "trie/patricia.hpp"
@@ -353,6 +354,108 @@ TEST(PimTrieSubtree, PrefixChainAfterInsertSplit) {
   EXPECT_EQ(st[0][2].first.to_binary(), "00111010");
   auto all = pt.batch_subtree({BitString()});
   EXPECT_EQ(all[0].size(), 4u);
+}
+
+// Insert maintenance re-partitions a block only when its content
+// changed since its last re-partition. An oversized block whose only
+// candidate roots are mirror stubs settles, and a batch that updates one
+// subtree re-partitions at most the spans it touched.
+TEST(PimTrieMaintenance, UpdateBatchRepartitionsOnlyTouchedBlocks) {
+  System sys(8, 901);
+  Config cfg;
+  cfg.kb = 16;
+  cfg.seed = 902;
+  PimTrie pt(sys, cfg);
+  auto keys = ptrie::workload::uniform_keys(2000, 64, 903);
+  auto values = iota_values(keys.size());
+  pt.build(keys, values);
+  // Warm up with value-only batches until one splits nothing. That batch
+  // pulled every oversized block with its current content, and none could
+  // split, so every oversized block is now settled.
+  std::size_t settled_count = 0;
+  for (int i = 0; i < 8 && pt.block_count() != settled_count; ++i) {
+    settled_count = pt.block_count();
+    pt.batch_insert(keys, values);
+  }
+  ASSERT_EQ(pt.block_count(), settled_count);
+
+  std::vector<BitString> sub;
+  std::vector<std::uint64_t> sub_values;
+  for (const auto& k : keys)
+    if (k.prefix(5) == keys[0].prefix(5)) {
+      sub.push_back(k);
+      sub_values.push_back(7000 + sub.size());
+    }
+  ASSERT_GT(sub.size(), 20u);
+  auto& reparts = ptrie::obs::counter("maint/block_reparts");
+  auto& spans = ptrie::obs::counter("match/spans");
+  std::uint64_t reparts0 = reparts.get(), spans0 = spans.get();
+  pt.batch_insert(sub, sub_values);
+  std::uint64_t touched = spans.get() - spans0;
+  EXPECT_GT(touched, 0u);
+  EXPECT_LE(reparts.get() - reparts0, touched);
+  EXPECT_EQ(pt.block_count(), settled_count);  // value updates split nothing
+  EXPECT_EQ(pt.key_count(), keys.size());
+  auto got = pt.batch_get(sub);
+  for (std::size_t i = 0; i < sub.size(); ++i) EXPECT_EQ(got[i], sub_values[i]);
+  EXPECT_EQ(pt.debug_check(), "");
+  EXPECT_EQ(pt.debug_check_deep(), "");
+}
+
+// The erase cascade drops a block exactly when it and every block below
+// it hold no keys: erasing one side of a branch removes that side's
+// key-less subtree, keeps the key-holding block above it, and keeps the
+// key-less branch block that still has keys below it.
+TEST(PimTrieErase, CascadeDropsKeylessSubtreeKeepsKeylessAncestor) {
+  System sys(8, 911);
+  Config cfg;
+  cfg.kb = 16;
+  cfg.seed = 912;
+  PimTrie pt(sys, cfg);
+  BitString common = ptrie::workload::uniform_keys(1, 20, 913)[0];
+  BitString left = common, right = common;
+  left.push_back(false);
+  right.push_back(true);
+  std::vector<BitString> a, b;
+  for (const auto& tail : ptrie::workload::uniform_keys(150, 43, 914)) {
+    a.push_back(left);
+    a.back().append(tail);
+  }
+  for (const auto& tail : ptrie::workload::uniform_keys(150, 43, 915)) {
+    b.push_back(right);
+    b.back().append(tail);
+  }
+  std::vector<BitString> keys = a;
+  keys.insert(keys.end(), b.begin(), b.end());
+  keys.push_back(left);  // holds a key above all of `a`
+  auto values = iota_values(keys.size());
+  pt.build(keys, values);
+
+  auto& removed = ptrie::obs::counter("maint/blocks_removed");
+  auto expect_erase = [&](const std::vector<BitString>& victims, bool removes,
+                          std::vector<BitString> remaining) {
+    std::uint64_t removed0 = removed.get();
+    std::size_t blocks0 = pt.block_count();
+    pt.batch_erase(victims);
+    std::uint64_t dropped = removed.get() - removed0;
+    EXPECT_EQ(dropped, blocks0 - pt.block_count());
+    EXPECT_EQ(dropped > 0, removes);
+    std::vector<BitString> got;
+    for (const auto& [k, v] : pt.debug_collect()) got.push_back(k);
+    std::sort(remaining.begin(), remaining.end());
+    EXPECT_EQ(got, remaining);
+    EXPECT_EQ(pt.debug_check(), "");
+    EXPECT_EQ(pt.debug_check_deep(), "");
+  };
+  std::vector<BitString> b_and_left = b;
+  b_and_left.push_back(left);
+  expect_erase(a, /*removes=*/true, b_and_left);
+  // The cascade is complete: a no-op erase finds nothing left to drop.
+  expect_erase(ptrie::workload::miss_queries(4, 64, 916), /*removes=*/false, b_and_left);
+  expect_erase({left}, /*removes=*/true, b);
+  auto lcp = pt.batch_lcp({a[0], b[0]});
+  EXPECT_EQ(lcp[0], common.size());
+  EXPECT_EQ(lcp[1], b[0].size());
 }
 
 }  // namespace

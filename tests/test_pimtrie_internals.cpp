@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "hash/poly_hash.hpp"
 #include "pimtrie/block.hpp"
 #include "pimtrie/meta_index.hpp"
@@ -280,6 +282,100 @@ TEST(TwoLayer, InsertLocateErase) {
   EXPECT_EQ(res->first, s);
   idx.erase(h, e);
   EXPECT_FALSE(idx.has_pivot(h.fingerprint(e.spre_hash)));
+}
+
+// Meta entry for a block rooted at string `s` (Section 4.4 keying).
+MetaEntry root_entry(const PolyHasher& h, unsigned w, const BitString& s, BlockId block) {
+  MetaEntry e;
+  e.block = block;
+  e.root_depth = s.size();
+  e.root_hash = h.hash(s);
+  std::size_t pivot = (s.size() / w) * w;
+  e.spre_hash = h.hash_prefix(s, pivot);
+  e.srem = s.suffix(pivot);
+  e.slast = s.suffix(s.size() - std::min<std::size_t>(w, s.size()));
+  return e;
+}
+
+BitString random_bits(std::mt19937_64& rng, std::size_t n) {
+  BitString s;
+  for (std::size_t i = 0; i < n; ++i) s.push_back(rng() & 1);
+  return s;
+}
+
+// Both pieces must answer every lookup the same way and account the
+// same space.
+void expect_same_index(const Piece& a, const Piece& b, const PolyHasher& h, unsigned w,
+                       std::mt19937_64& rng) {
+  ASSERT_EQ(a.index().size(), b.index().size());
+  EXPECT_EQ(a.index().space_words(), b.index().space_words());
+  EXPECT_EQ(a.index().debug_check(), "");
+  EXPECT_EQ(b.index().debug_check(), "");
+  std::vector<const MetaEntry*> probes;
+  for (const auto& e : b.entries) probes.push_back(&e);
+  for (const auto& c : b.children) probes.push_back(&c.root);
+  for (const MetaEntry* e : probes) {
+    std::uint64_t fp = h.fingerprint(e->spre_hash);
+    ASSERT_EQ(a.index().has_pivot(fp), b.index().has_pivot(fp));
+    for (int k = 0; k < 3; ++k) {
+      BitString window = e->srem;
+      window.append(random_bits(rng, rng() % (w - window.size() + 1)));
+      EXPECT_EQ(a.index().locate(fp, window), b.index().locate(fp, window));
+    }
+    const MetaEntry* ea = a.entry_of(e->block);
+    const MetaEntry* eb = b.entry_of(e->block);
+    ASSERT_EQ(ea == nullptr, eb == nullptr);
+    if (ea != nullptr) {
+      EXPECT_EQ(ea - a.entries.data(), eb - b.entries.data());
+    }
+  }
+}
+
+// Piece::append_entries must leave the same index as a full rebuild:
+// the same last-wins payloads (a repeated key falls back to the rebuild)
+// and the same y-fast bucket shapes (w = 8 splits buckets early).
+TEST(PieceIndex, AppendEntriesEqualsRebuild) {
+  struct Case {
+    unsigned w;
+    unsigned fingerprint_bits;
+    std::size_t max_len;  // root string lengths in [0, max_len)
+  };
+  const Case cases[] = {{64, 61, 200}, {8, 61, 20}, {64, 12, 70}, {8, 4, 12}};
+  for (const Case& c : cases) {
+    PolyHasher h(17, c.fingerprint_bits);
+    std::mt19937_64 rng(c.w * 131 + c.fingerprint_bits);
+    std::size_t appended = 0, rebuilt = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+      BlockId next = 1;
+      auto entry = [&] { return root_entry(h, c.w, random_bits(rng, rng() % c.max_len), next++); };
+      Piece base;
+      base.id = 1;
+      for (std::size_t i = rng() % 40; i > 0; --i) base.entries.push_back(entry());
+      for (std::size_t i = rng() % 12; i > 0; --i) {
+        ChildPieceRef ref;
+        ref.piece = 100 + i;
+        ref.root = entry();
+        base.children.push_back(ref);
+      }
+      base.build_index(h, c.w);
+      std::vector<MetaEntry> added;
+      for (std::size_t i = 1 + rng() % 30; i > 0; --i) added.push_back(entry());
+
+      Piece inc = base;
+      inc.build_index(h, c.w);  // a stored piece starts from a rebuild
+      Piece full = base;
+      for (const auto& e : added) full.entries.push_back(e);
+      full.build_index(h, c.w);
+      (inc.append_entries(h, c.w, added) ? appended : rebuilt) += 1;
+      ASSERT_EQ(inc.entries.size(), full.entries.size());
+      expect_same_index(inc, full, h, c.w, rng);
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_GT(appended, 0u) << "w=" << c.w << " fp_bits=" << c.fingerprint_bits;
+    if (c.fingerprint_bits <= 12) {
+      EXPECT_GT(rebuilt, 0u) << "forced collisions must take the rebuild fallback";
+    }
+  }
 }
 
 TEST(HashMatch, DeepestPerEdgeOnly) {
