@@ -1,14 +1,14 @@
 // Substrate micro-benchmarks (google-benchmark): bitstring kernels,
-// polynomial hash, hash table, Patricia ops, fast tries, the two-layer
-// index, and the Euler-tour partition.
+// polynomial hash, hash table, Patricia ops, the z-fast trie, the
+// two-layer index's second layer, and the Euler-tour partition.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "core/bitstring.hpp"
 #include "core/rng.hpp"
 #include "fasttrie/second_layer.hpp"
-#include "fasttrie/xfast.hpp"
-#include "fasttrie/yfast.hpp"
 #include "fasttrie/zfast.hpp"
 #include "hash/crc64.hpp"
 #include "hash/hash_table.hpp"
@@ -116,24 +116,6 @@ static void BM_PatriciaLcpQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_PatriciaLcpQuery);
 
-static void BM_XFastPred(benchmark::State& state) {
-  fasttrie::XFastTrie t(64);
-  auto keys = workload::uniform_u64(20000, 212);
-  for (auto k : keys) t.insert(k);
-  core::Rng rng(213);
-  for (auto _ : state) benchmark::DoNotOptimize(t.pred(rng()));
-}
-BENCHMARK(BM_XFastPred);
-
-static void BM_YFastPred(benchmark::State& state) {
-  fasttrie::YFastTrie t(64);
-  auto keys = workload::uniform_u64(20000, 214);
-  for (auto k : keys) t.insert(k);
-  core::Rng rng(215);
-  for (auto _ : state) benchmark::DoNotOptimize(t.pred(rng()));
-}
-BENCHMARK(BM_YFastPred);
-
 static void BM_ZFastLocate(benchmark::State& state) {
   hash::PolyHasher h(216);
   auto keys = workload::caterpillar_keys(state.range(0), 8, 217);
@@ -147,14 +129,33 @@ static void BM_ZFastLocate(benchmark::State& state) {
 }
 BENCHMARK(BM_ZFastLocate)->Arg(64)->Arg(512);
 
+// `n` random strings shorter than w = 64 bits.
+static std::vector<BitString> second_layer_strings(std::size_t n, std::uint64_t seed) {
+  core::Rng rng(seed);
+  std::vector<BitString> out(n);
+  for (auto& s : out)
+    for (std::size_t b = 0, len = rng.below(63); b < len; ++b) s.push_back(rng.coin());
+  return out;
+}
+
+// Build cost of one second layer: each insert shifts the sorted arrays,
+// so per-string cost grows with the bucket's size.
+static void BM_SecondLayerInsert(benchmark::State& state) {
+  auto strings = second_layer_strings(static_cast<std::size_t>(state.range(0)), 218);
+  for (auto _ : state) {
+    fasttrie::SecondLayerIndex idx(64);
+    for (std::size_t i = 0; i < strings.size(); ++i) idx.insert(strings[i], i);
+    benchmark::DoNotOptimize(idx.size());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SecondLayerInsert)->Arg(4)->Arg(64)->Arg(1024);
+
 static void BM_SecondLayerQuery(benchmark::State& state) {
   fasttrie::SecondLayerIndex idx(64);
+  auto strings = second_layer_strings(500, 218);
+  for (std::size_t i = 0; i < strings.size(); ++i) idx.insert(strings[i], i);
   core::Rng rng(218);
-  for (int i = 0; i < 500; ++i) {
-    BitString s;
-    for (std::size_t b = 0, n = rng.below(63); b < n; ++b) s.push_back(rng.coin());
-    idx.insert(s, i);
-  }
   BitString q;
   for (int b = 0; b < 64; ++b) q.push_back(rng.coin());
   for (auto _ : state) benchmark::DoNotOptimize(idx.query(q));

@@ -6,7 +6,8 @@
 # differential), the perf gate against the checked-in BENCH_*.json
 # baselines, the host-complexity gate (ci/host_gate.sh), the docs-vs-code
 # gate (ci/doc_check.sh), then
-# sanitizer builds — AddressSanitizer runs
+# sanitizer builds — AddressSanitizer with UndefinedBehaviorSanitizer
+# (non-recovering: any UB report aborts) runs
 # the unit- and serve-label tests plus the fuzz matrix; ThreadSanitizer
 # runs the parallel-runtime determinism suite (which includes the
 # serving pipeline's WorkerSweepServe tests) with a multi-worker pool,
@@ -143,8 +144,10 @@ ci/host_gate.sh build
 echo "== doc check: env-var table + named paths =="
 ci/doc_check.sh build
 
-echo "== address-sanitized build + unit/serve tests + fuzz matrix =="
-cmake -B build-asan -S . -DPTRIE_SANITIZE=address >/dev/null
+echo "== address+undefined-sanitized build + unit/serve tests + fuzz matrix =="
+# -fno-sanitize-recover=undefined (set by CMakeLists.txt) turns every UB
+# report, e.g. a shift by the full word width, into a failing exit.
+cmake -B build-asan -S . -DPTRIE_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS" --target pimtrie_tests ptrie_fuzz ptrie_report bench_serving
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" -L 'unit|serve'
 # Serving smoke under ASan: coalescer + pipeline + promise plumbing.

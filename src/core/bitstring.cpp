@@ -88,10 +88,7 @@ void BitString::append_slice(const BitString& other, std::size_t from, std::size
   // `from + done`, write it at bit `dst + done`.
   std::size_t done = 0;
   while (done < len) {
-    std::size_t src_bit = from + done;
-    std::size_t sw = src_bit / kW, soff = src_bit % kW;
-    Word window = other.word(sw) << soff;
-    if (soff != 0) window |= other.word(sw + 1) >> (kW - soff);
+    Word window = other.word_at(from + done);
     std::size_t take = std::min<std::size_t>(kW, len - done);
     if (take < kW) window &= ~Word{0} << (kW - take);
 
@@ -129,13 +126,7 @@ std::size_t BitString::lcp_at(std::size_t from, const BitString& other) const {
   std::size_t limit = std::min(nbits_ - from, other.size());
   std::size_t done = 0;
   while (done < limit) {
-    std::size_t sw = (from + done) / kW, soff = (from + done) % kW;
-    Word a = word(sw) << soff;
-    if (soff != 0) a |= word(sw + 1) >> (kW - soff);
-    std::size_t ow = done / kW, ooff = done % kW;
-    Word b = other.word(ow) << ooff;
-    if (ooff != 0) b |= other.word(ow + 1) >> (kW - ooff);
-    Word diff = a ^ b;
+    Word diff = word_at(from + done) ^ other.word_at(done);
     if (diff != 0) {
       return std::min(done + static_cast<std::size_t>(std::countl_zero(diff)), limit);
     }
@@ -150,13 +141,7 @@ std::size_t BitString::lcp_range(std::size_t from, const BitString& other,
   std::size_t limit = std::min(nbits_ - from, other.nbits_ - other_from);
   std::size_t done = 0;
   while (done < limit) {
-    std::size_t aw = (from + done) / kW, aoff = (from + done) % kW;
-    Word a = word(aw) << aoff;
-    if (aoff != 0) a |= word(aw + 1) >> (kW - aoff);
-    std::size_t bw = (other_from + done) / kW, boff = (other_from + done) % kW;
-    Word b = other.word(bw) << boff;
-    if (boff != 0) b |= other.word(bw + 1) >> (kW - boff);
-    Word diff = a ^ b;
+    Word diff = word_at(from + done) ^ other.word_at(other_from + done);
     if (diff != 0)
       return std::min(done + static_cast<std::size_t>(std::countl_zero(diff)), limit);
     done += kW;

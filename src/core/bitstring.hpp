@@ -36,6 +36,14 @@ class BitString {
   // Word w holds bits [64w, 64w+64); bits past size() are zero.
   Word word(std::size_t w) const { return w < words_.size() ? words_[w] : 0; }
 
+  // The 64 bits starting at bit `from`, most significant first; bits
+  // past size() read as 0.
+  Word word_at(std::size_t from) const {
+    std::size_t w = from / kWordBits, off = from % kWordBits;
+    Word v = word(w) << off;
+    return off == 0 ? v : v | word(w + 1) >> (kWordBits - off);
+  }
+
   bool bit(std::size_t i) const {
     return (words_[i / kWordBits] >> (kWordBits - 1 - i % kWordBits)) & 1u;
   }

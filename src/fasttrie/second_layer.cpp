@@ -1,69 +1,12 @@
 #include "fasttrie/second_layer.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
 namespace ptrie::fasttrie {
 
 using core::BitString;
-
-SecondLayerIndex::SecondLayerIndex(unsigned w) : w_(w), order_(w) {
-  assert(w_ >= 1 && w_ <= 64);
-}
-
-std::uint64_t SecondLayerIndex::pad(const BitString& s, bool ones) const {
-  assert(s.size() <= w_);
-  // String bits occupy the high |s| bits of a w_-bit integer.
-  std::uint64_t v = s.size() == 0 ? 0 : (s.word(0) >> (64 - w_));
-  // word(0) already has bits MSB-aligned in 64; shifting by (64-w_) puts
-  // bit 0 of the string at integer bit w_-1. Bits below |s| are zero.
-  if (ones && s.size() < w_) {
-    // w_ - |s| can be 64 (empty string, full-width index): a plain shift
-    // would be UB and silently produce an all-zeros fill on x86.
-    std::uint64_t fill = w_ - s.size() >= 64 ? ~std::uint64_t{0}
-                                             : (std::uint64_t{1} << (w_ - s.size())) - 1;
-    v |= fill;
-  }
-  return v;
-}
-
-void SecondLayerIndex::add_validity(std::uint64_t padded, unsigned len) {
-  auto [it, fresh] = validity_.try_emplace(padded, 0);
-  if (fresh) order_.insert(padded);
-  it->second |= std::uint64_t{1} << len;
-}
-
-void SecondLayerIndex::remove_validity(std::uint64_t padded, unsigned len) {
-  auto it = validity_.find(padded);
-  if (it == validity_.end()) return;
-  it->second &= ~(std::uint64_t{1} << len);
-  if (it->second == 0) {
-    validity_.erase(it);
-    order_.erase(padded);
-  }
-}
-
-void SecondLayerIndex::insert(const BitString& s, std::uint64_t payload) {
-  assert(s.size() < w_);
-  auto [it, fresh] = by_string_.try_emplace(s, payload);
-  if (!fresh) {
-    it->second = payload;
-    return;
-  }
-  unsigned len = static_cast<unsigned>(s.size());
-  add_validity(pad(s, false), len);
-  add_validity(pad(s, true), len);
-}
-
-bool SecondLayerIndex::erase(const BitString& s) {
-  auto it = by_string_.find(s);
-  if (it == by_string_.end()) return false;
-  by_string_.erase(it);
-  unsigned len = static_cast<unsigned>(s.size());
-  remove_validity(pad(s, false), len);
-  remove_validity(pad(s, true), len);
-  return true;
-}
 
 namespace {
 // LCP of two w-bit integers viewed as bit-strings of length w.
@@ -72,41 +15,185 @@ unsigned int_lcp(std::uint64_t a, std::uint64_t b, unsigned w) {
   if (d == 0) return w;
   return static_cast<unsigned>(std::countl_zero(d));
 }
+
+// The top `len` bits of a word set (len in [0, 64]).
+std::uint64_t high_mask(std::size_t len) {
+  return len == 0 ? 0 : ~std::uint64_t{0} << (64 - len);
+}
+
+// The first `len` (< w) bits of the w-bit integer `padded`, 0-padded.
+std::uint64_t zero_pad(std::uint64_t padded, unsigned len, unsigned w) {
+  return len == 0 ? 0 : padded & ~((std::uint64_t{1} << (w - len)) - 1);
+}
+
+// Sort orders: padded entries by key, stored strings by (key, length).
+constexpr auto key_less = [](const auto& e, std::uint64_t key) { return e.key < key; };
+constexpr auto key_len_less = [](const auto& e, std::pair<std::uint64_t, unsigned> k) {
+  return e.key != k.first ? e.key < k.first : e.len < k.second;
+};
 }  // namespace
 
-std::optional<SecondLayerIndex::Result> SecondLayerIndex::query(const BitString& q) const {
-  assert(q.size() <= w_);
-  if (by_string_.empty()) return std::nullopt;
+std::size_t xfast_space_words(std::span<const std::uint64_t> keys, unsigned w) {
+  if (keys.empty()) return 0;
+  // Level l holds one prefix per run of keys agreeing on their first l
+  // bits: the root level and every level of the first key, then for each
+  // later key the levels below its LCP with its predecessor.
+  std::size_t prefixes = w + 1;
+  for (std::size_t i = 1; i < keys.size(); ++i) prefixes += w - int_lcp(keys[i - 1], keys[i], w);
+  return 3 * prefixes + 3 * keys.size();
+}
 
-  std::uint64_t q0 = pad(q, false), q1 = pad(q, true);
-  std::uint64_t candidates[16];
+SecondLayerIndex::SecondLayerIndex(unsigned w) : w_(w) {
+  assert(w_ >= 1 && w_ <= 64);
+}
+
+std::uint64_t SecondLayerIndex::pad(std::uint64_t bits, std::size_t len, bool ones) const {
+  assert(len <= w_);
+  // String bits occupy the high `len` bits of a w_-bit integer: the
+  // window is MSB-aligned in 64, so shifting by (64-w_) puts bit 0 of the
+  // string at integer bit w_-1. Bits below `len` are zero.
+  std::uint64_t v = (bits & high_mask(len)) >> (64 - w_);
+  if (ones && len < w_) {
+    // w_ - len can be 64 (empty string, full-width index): a plain shift
+    // would be UB and silently produce an all-zeros fill on x86.
+    std::uint64_t fill = w_ - len >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << (w_ - len)) - 1;
+    v |= fill;
+  }
+  return v;
+}
+
+const SecondLayerIndex::Stored* SecondLayerIndex::find(std::uint64_t key, unsigned len) const {
+  auto it = std::lower_bound(strings_.begin(), strings_.end(), std::pair{key, len}, key_len_less);
+  return it != strings_.end() && it->key == key && it->len == len ? &*it : nullptr;
+}
+
+bool SecondLayerIndex::contains(const BitString& s) const {
+  return s.size() < w_ && find(pad(s.word(0), s.size(), false), s.size()) != nullptr;
+}
+
+// Index of the y-fast bucket holding padded_[i].
+std::size_t SecondLayerIndex::bucket_of(std::size_t i) const {
+  std::size_t b = 0;
+  for (std::size_t end = buckets_[0]; end <= i; end += buckets_[++b]) {
+  }
+  return b;
+}
+
+void SecondLayerIndex::split_if_needed(std::size_t b) {
+  std::uint32_t n = buckets_[b];
+  if (n <= 2 * w_) return;
+  // Split at the median: the lower half keeps floor(n/2) keys.
+  buckets_[b] = n / 2;
+  buckets_.insert(buckets_.begin() + static_cast<std::ptrdiff_t>(b) + 1, n - n / 2);
+}
+
+void SecondLayerIndex::add_validity(std::uint64_t padded, unsigned len) {
+  auto it = std::lower_bound(padded_.begin(), padded_.end(), padded, key_less);
+  if (it != padded_.end() && it->key == padded) {
+    it->lengths |= std::uint64_t{1} << len;
+    return;
+  }
+  std::size_t pos = static_cast<std::size_t>(it - padded_.begin());
+  padded_.insert(it, Padded{padded, std::uint64_t{1} << len});
+  // A new key joins its predecessor's bucket, or the first bucket when it
+  // precedes every key.
+  if (buckets_.empty()) {
+    buckets_.push_back(1);
+    return;
+  }
+  std::size_t b = pos == 0 ? 0 : bucket_of(pos - 1);
+  ++buckets_[b];
+  split_if_needed(b);
+}
+
+void SecondLayerIndex::remove_validity(std::uint64_t padded, unsigned len) {
+  auto it = std::lower_bound(padded_.begin(), padded_.end(), padded, key_less);
+  if (it == padded_.end() || it->key != padded) return;
+  it->lengths &= ~(std::uint64_t{1} << len);
+  if (it->lengths != 0) return;
+  std::size_t b = bucket_of(static_cast<std::size_t>(it - padded_.begin()));
+  padded_.erase(it);
+  auto at = [&](std::size_t i) { return buckets_.begin() + static_cast<std::ptrdiff_t>(i); };
+  if (--buckets_[b] == 0) {
+    buckets_.erase(at(b));
+    return;
+  }
+  // An underfull bucket merges into its left neighbor (the right one if
+  // it is first), which then splits again if oversized.
+  if (buckets_[b] * 4 >= w_ || buckets_.size() <= 1) return;
+  std::size_t into = b == 0 ? 0 : b - 1;
+  buckets_[b == 0 ? 1 : b - 1] += buckets_[b];
+  buckets_.erase(at(b));
+  split_if_needed(into);
+}
+
+void SecondLayerIndex::insert(const BitString& s, std::uint64_t payload) {
+  assert(s.size() < w_);
+  unsigned len = static_cast<unsigned>(s.size());
+  std::uint64_t key = pad(s.word(0), len, false);
+  auto it = std::lower_bound(strings_.begin(), strings_.end(), std::pair{key, len}, key_len_less);
+  if (it != strings_.end() && it->key == key && it->len == len) {
+    it->payload = payload;
+    return;
+  }
+  strings_.insert(it, Stored{key, payload, len});
+  add_validity(key, len);
+  add_validity(pad(s.word(0), len, true), len);
+}
+
+bool SecondLayerIndex::erase(const BitString& s) {
+  if (s.size() >= w_) return false;
+  unsigned len = static_cast<unsigned>(s.size());
+  std::uint64_t key = pad(s.word(0), len, false);
+  const Stored* st = find(key, len);
+  if (st == nullptr) return false;
+  strings_.erase(strings_.begin() + (st - strings_.data()));
+  remove_validity(key, len);
+  remove_validity(pad(s.word(0), len, true), len);
+  return true;
+}
+
+std::optional<SecondLayerIndex::Result> SecondLayerIndex::query(std::uint64_t bits,
+                                                                std::size_t qlen) const {
+  assert(qlen <= w_);
+  if (strings_.empty()) return std::nullopt;
+
+  std::uint64_t q0 = pad(bits, qlen, false), q1 = pad(bits, qlen, true);
+  std::uint64_t top = w_ == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << w_) - 1);
+  std::size_t candidates[16];  // indices into padded_
   std::size_t ncand = 0;
   for (std::uint64_t qq : {q0, q1}) {
-    if (auto p = order_.pred(qq)) {
-      candidates[ncand++] = *p;
+    std::size_t succ = static_cast<std::size_t>(
+        std::lower_bound(padded_.begin(), padded_.end(), qq, key_less) - padded_.begin());
+    bool exact = succ < padded_.size() && padded_[succ].key == qq;
+    std::size_t pred = exact ? succ : succ - 1;  // wraps when nothing is <= qq
+    if (pred < padded_.size()) {
+      candidates[ncand++] = pred;
       // Padding collapse: several short strings can pad onto qq itself
       // (e.g. every "1"-prefix of an all-ones query 1-pads to the same
       // integer). The entry *strictly* below may be the true maximizer,
       // shadowed by the exact occupant — take it as well.
-      if (*p == qq && qq != 0) {
-        if (auto p2 = order_.pred(qq - 1)) candidates[ncand++] = *p2;
-      }
+      if (exact && qq != 0 && pred > 0) candidates[ncand++] = pred - 1;
     }
-    std::uint64_t top = w_ == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << w_) - 1);
-    if (auto s = order_.succ(qq)) {
-      candidates[ncand++] = *s;
-      if (*s == qq && qq != top) {
-        if (auto s2 = order_.succ(qq + 1)) candidates[ncand++] = *s2;
-      }
+    if (succ < padded_.size()) {
+      candidates[ncand++] = succ;
+      if (exact && qq != top && succ + 1 < padded_.size()) candidates[ncand++] = succ + 1;
     }
   }
 
+  // The stored string of length `len` that pads to `padded`, if any.
+  auto stored_at = [&](std::uint64_t padded, unsigned len) {
+    return find(zero_pad(padded, len, w_), len);
+  };
+  auto prefix_bits = [&](std::uint64_t padded, unsigned len) {
+    return len == 0 ? 0 : padded >> (w_ - len);
+  };
+
   bool have = false;
   Result best;
-  std::size_t qlen = q.size();
   for (std::size_t c = 0; c < ncand; ++c) {
-    std::uint64_t padded = candidates[c];
-    std::uint64_t mask = validity_.at(padded);
+    std::uint64_t padded = padded_[candidates[c]].key;
+    std::uint64_t mask = padded_[candidates[c]].lengths;
     // LCP between the candidate integer and Q as padded strings; against
     // both paddings of Q, take the larger (the true agreement with Q's
     // bits is the same; padding differences only matter past |Q|).
@@ -124,15 +211,12 @@ std::optional<SecondLayerIndex::Result> SecondLayerIndex::query(const BitString&
       len = 63 - static_cast<unsigned>(std::countl_zero(lt));
     }
     std::size_t lcp = std::min<std::size_t>(len, bound);
-    if (!have || lcp > best.lcp || (lcp == best.lcp && len < best.str.size())) {
-      // Reconstruct the stored string: the first `len` bits of `padded`
-      // (len == 0 is the empty string; the shift would be by w_ = 64).
-      BitString s = len == 0 ? BitString() : BitString::from_uint(padded >> (w_ - len), len);
+    if (!have || lcp > best.lcp || (lcp == best.lcp && len < best.len)) {
       // Guard: only accept genuinely stored strings (validity guarantees
       // this by construction).
-      auto it = by_string_.find(s);
-      if (it == by_string_.end()) continue;
-      best = Result{std::move(s), it->second, lcp};
+      const Stored* s = stored_at(padded, len);
+      if (s == nullptr) continue;
+      best = Result{prefix_bits(padded, len), len, s->payload, lcp};
       have = true;
     }
   }
@@ -141,16 +225,14 @@ std::optional<SecondLayerIndex::Result> SecondLayerIndex::query(const BitString&
     // the globally shortest stored string reachable via length-0/least
     // mask bits. Scan candidates for any valid length.
     for (std::size_t c = 0; c < ncand; ++c) {
-      std::uint64_t padded = candidates[c];
-      std::uint64_t mask = validity_.at(padded);
-      unsigned len = static_cast<unsigned>(std::countr_zero(mask));
-      BitString s = BitString::from_uint(len == 0 ? 0 : (padded >> (w_ - len)), len);
-      auto it = by_string_.find(s);
-      if (it == by_string_.end()) continue;
-      std::size_t lcp = std::min(std::min<std::size_t>(s.size(), qlen),
+      std::uint64_t padded = padded_[candidates[c]].key;
+      unsigned len = static_cast<unsigned>(std::countr_zero(padded_[candidates[c]].lengths));
+      const Stored* s = stored_at(padded, len);
+      if (s == nullptr) continue;
+      std::size_t lcp = std::min(std::min<std::size_t>(len, qlen),
                                  static_cast<std::size_t>(int_lcp(padded, q0, w_)));
       if (!have || lcp > best.lcp) {
-        best = Result{std::move(s), it->second, lcp};
+        best = Result{prefix_bits(padded, len), len, s->payload, lcp};
         have = true;
       }
     }
@@ -164,43 +246,66 @@ std::string SecondLayerIndex::debug_check() const {
   auto complain = [&](const std::string& s) {
     if (problems.size() < 2000) problems += s + "\n";
   };
-  for (const auto& [s, payload] : by_string_) {
-    if (s.size() >= w_) complain("stored string as long as w: " + s.to_binary());
-    unsigned len = static_cast<unsigned>(s.size());
-    for (bool ones : {false, true}) {
-      std::uint64_t padded = pad(s, ones);
-      auto it = validity_.find(padded);
-      if (it == validity_.end() || !(it->second >> len & 1)) {
-        complain("missing validity bit for " + s.to_binary());
-      } else if (!order_.contains(padded)) {
-        complain("padded key absent from y-fast trie for " + s.to_binary());
-      }
+  auto has_bit = [&](std::uint64_t padded, unsigned len) {
+    auto it = std::lower_bound(padded_.begin(), padded_.end(), padded, key_less);
+    return it != padded_.end() && it->key == padded && (it->lengths >> len & 1);
+  };
+  for (std::size_t i = 0; i < strings_.size(); ++i) {
+    const Stored& s = strings_[i];
+    if (s.len >= w_) {
+      complain("stored string as long as w, length " + std::to_string(s.len));
+      continue;
     }
+    std::string name = BitString::from_uint(s.len == 0 ? 0 : s.key >> (w_ - s.len), s.len).to_binary();
+    if (i > 0 && !(strings_[i - 1].key < s.key ||
+                   (strings_[i - 1].key == s.key && strings_[i - 1].len < s.len)))
+      complain("stored strings out of order at " + name);
+    std::uint64_t word = s.key << (64 - w_);
+    if (pad(word, s.len, false) != s.key) complain("stored key not 0-padded: " + name);
+    for (bool ones : {false, true})
+      if (!has_bit(pad(word, s.len, ones), s.len)) complain("missing validity bit for " + name);
   }
   std::size_t bits = 0;
-  for (const auto& [padded, mask] : validity_) {
+  for (std::size_t i = 0; i < padded_.size(); ++i) {
+    const auto& [padded, mask] = padded_[i];
     if (mask == 0) complain("empty validity mask retained");
-    if (!order_.contains(padded)) complain("validity key absent from y-fast trie");
+    if (i > 0 && padded_[i - 1].key >= padded) complain("padded keys out of order");
     for (unsigned len = 0; len < 64; ++len) {
       if (!(mask >> len & 1)) continue;
       ++bits;
-      BitString s = BitString::from_uint(len == 0 ? 0 : (padded >> (w_ - len)), len);
-      if (!by_string_.contains(s))
-        complain("validity bit without stored string: " + s.to_binary());
+      if (len >= w_ || find(zero_pad(padded, len, w_), len) == nullptr)
+        complain("validity bit without stored string: length " + std::to_string(len));
     }
   }
   // Each stored string contributes a bit at both paddings; the paddings
   // coincide exactly for full-width strings, which insert() forbids.
-  if (bits != 2 * by_string_.size())
+  if (bits != 2 * strings_.size())
     complain("validity bit count mismatch: " + std::to_string(bits) + " bits vs " +
-             std::to_string(by_string_.size()) + " strings, w=" + std::to_string(w_));
-  if (order_.size() != validity_.size()) complain("y-fast size != validity size");
+             std::to_string(strings_.size()) + " strings, w=" + std::to_string(w_));
+  std::size_t tiled = 0;
+  for (std::uint32_t n : buckets_) {
+    tiled += n;
+    if (n == 0 || n > 2 * w_) complain("bucket size out of (0, 2w]: " + std::to_string(n));
+    if (buckets_.size() > 1 && n * 4 < w_) complain("unmerged bucket of " + std::to_string(n));
+  }
+  if (tiled != padded_.size()) complain("buckets do not tile the padded keys");
   return problems;
 }
 
 std::size_t SecondLayerIndex::space_words() const {
-  std::size_t words = order_.space_words() + validity_.size() * 2;
-  for (const auto& [s, payload] : by_string_) words += s.space_words() + 1;
+  // The y-fast trie: an x-fast top over the bucket minima, one word per
+  // bucket plus one per key; then a validity vector per padded key and,
+  // per stored string, its packed words (one header, one word when
+  // nonempty) and its payload.
+  std::vector<std::uint64_t> reps;
+  reps.reserve(buckets_.size());
+  std::size_t first = 0;
+  for (std::uint32_t n : buckets_) {
+    reps.push_back(padded_[first].key);
+    first += n;
+  }
+  std::size_t words = xfast_space_words(reps, w_) + buckets_.size() + 3 * padded_.size();
+  for (const Stored& s : strings_) words += (s.len > 0 ? 2 : 1) + 1;
   return words;
 }
 

@@ -348,13 +348,8 @@ pim::Buffer kernel(pim::Module& mod, pim::Buffer in, std::uint64_t instance,
         QueryPiece q = QueryPiece::deserialize(r);
         const Piece& piece = require(st.pieces, id, "piece", mod.id());
         HashMatchStats hms;
-        auto matches = hash_match(
-            q, piece.index(), hasher, w,
-            [&](IndexPayload pl) -> const MetaEntry* {
-              return pl.kind == IndexPayload::kEntry ? &piece.entries[pl.idx]
-                                                     : &piece.children[pl.idx].root;
-            },
-            [&](BlockId b) { return piece.entry_of(b); }, &hms, &work);
+        auto matches =
+            hash_match(q, piece.index(), hasher, w, EntryResolver::of(piece), &hms, &work);
         obs::counter("kernel/pivot_lookups").add(hms.pivot_lookups);
         obs::counter("kernel/second_layer_queries").add(hms.second_layer_queries);
         obs::counter("kernel/verifications").add(hms.verifications);
@@ -506,15 +501,7 @@ pim::Buffer kernel(pim::Module& mod, pim::Buffer in, std::uint64_t instance,
         QueryPiece q = QueryPiece::deserialize(r);
         const MasterReplica& rep = st.master;
         HashMatchStats hms;
-        auto matches = hash_match(
-            q, rep.index, hasher, w,
-            [&](IndexPayload pl) -> const MetaEntry* { return &rep.roots[pl.idx]; },
-            [&](BlockId b) -> const MetaEntry* {
-              for (const auto& root : rep.roots)
-                if (root.block == b) return &root;
-              return nullptr;
-            },
-            &hms, &work);
+        auto matches = hash_match(q, rep.index, hasher, w, {rep.roots}, &hms, &work);
         obs::counter("kernel/pivot_lookups").add(hms.pivot_lookups);
         obs::counter("kernel/second_layer_queries").add(hms.second_layer_queries);
         obs::counter("kernel/verifications").add(hms.verifications);

@@ -91,13 +91,13 @@ std::size_t TwoLayerIndex::size() const {
   return n;
 }
 
-std::optional<std::pair<BitString, std::uint64_t>> TwoLayerIndex::locate(
-    std::uint64_t spre_fp, const BitString& window) const {
+std::optional<std::uint64_t> TwoLayerIndex::locate(std::uint64_t spre_fp, std::uint64_t bits,
+                                                   std::size_t len) const {
   auto it = first_.find(spre_fp);
   if (it == first_.end()) return std::nullopt;
-  auto res = it->second.query(window);
+  auto res = it->second.query(bits, len);
   if (!res) return std::nullopt;
-  return std::make_pair(res->str, res->payload);
+  return res->payload;
 }
 
 std::size_t TwoLayerIndex::space_words() const {
@@ -165,9 +165,11 @@ bool Piece::append_entries(const hash::PolyHasher& hasher, unsigned w,
   // build_index() inserts entries, then child roots; a repeated key keeps
   // the last payload. Appending after the child roots matches that only
   // while every new key is fresh. Once a second layer holds more than w
-  // strings (2w padded keys) its y-fast buckets split, and where they
-  // split depends on insertion order, so a bucket that also holds a child
-  // root must stay at or below w strings.
+  // strings (2w padded keys) its replayed y-fast buckets split, and where
+  // they split depends on insertion order (the flat arrays are sorted,
+  // but the bucket history they replay is not), so the modelled space of
+  // a bucket that also holds a child root is order-independent only while
+  // it stays at or below w strings.
   std::size_t first = entries.size();
   entries.reserve(first + added.size());
   for (auto& e : added) entries.push_back(std::move(e));
@@ -205,6 +207,13 @@ const MetaEntry* Piece::entry_of(BlockId b) const {
 MetaEntry* Piece::entry_of(BlockId b) {
   auto it = by_block_.find(b);
   return it == by_block_.end() ? nullptr : &entries[it->second];
+}
+
+const MetaEntry* EntryResolver::parent(BlockId b) const {
+  if (piece != nullptr) return piece->entry_of(b);
+  for (const MetaEntry& e : entries)
+    if (e.block == b) return &e;
+  return nullptr;
 }
 
 namespace {
@@ -250,11 +259,10 @@ bool verify_candidate(const MetaEntry& e, std::uint64_t pivot, std::uint64_t edg
 
 }  // namespace
 
-std::vector<ResolvedMatch> hash_match(
-    const QueryPiece& q, const TwoLayerIndex& idx, const hash::PolyHasher& hasher,
-    unsigned w, const std::function<const MetaEntry*(IndexPayload)>& resolve,
-    const std::function<const MetaEntry*(BlockId)>& resolve_block, HashMatchStats* stats,
-    std::uint64_t* work) {
+std::vector<ResolvedMatch> hash_match(const QueryPiece& q, const TwoLayerIndex& idx,
+                                      const hash::PolyHasher& hasher, unsigned w,
+                                      const EntryResolver& resolve, HashMatchStats* stats,
+                                      std::uint64_t* work) {
   std::vector<ResolvedMatch> out;
   const trie::Patricia& t = q.trie;
 
@@ -326,13 +334,12 @@ std::vector<ResolvedMatch> hash_match(
       std::size_t off = static_cast<std::size_t>(it->depth - path_base);
       std::size_t wlen = static_cast<std::size_t>(std::min<std::uint64_t>(it->depth + w, dv) -
                                                   it->depth);
-      BitString window = path.substr(off, std::min(wlen, path.size() - off));
       if (stats) ++stats->second_layer_queries;
       if (work) *work += 4;  // O(log w) whp lookup stand-in
-      auto res = idx.locate(fp, window);
+      auto res = idx.locate(fp, path.word_at(off), std::min(wlen, path.size() - off));
       if (!res) continue;
-      IndexPayload payload = IndexPayload::decode(res->second);
-      const MetaEntry* cand = resolve(payload);
+      IndexPayload payload = IndexPayload::decode(*res);
+      const MetaEntry* cand = resolve.entry(payload);
       // Try the returned candidate, then its meta-tree parent (the
       // Section 4.4.2 "root or one of its direct children" case).
       for (int attempt = 0; attempt < 2 && cand != nullptr; ++attempt) {
@@ -349,9 +356,8 @@ std::vector<ResolvedMatch> hash_match(
           break;
         }
         if (stats) ++stats->rejected_collisions;
-        cand = attempt == 0 && cand->parent_block != kNone && resolve_block
-                   ? resolve_block(cand->parent_block)
-                   : nullptr;
+        cand = attempt == 0 && cand->parent_block != kNone ? resolve.parent(cand->parent_block)
+                                                           : nullptr;
       }
     }
 

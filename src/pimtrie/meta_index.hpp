@@ -11,11 +11,13 @@
 //   first layer:  fingerprint(hash(S_pre)), S_pre = longest prefix of S
 //                 with length a multiple of w;
 //   second layer: S_rem = S after S_pre (|S_rem| = |S| mod w), in a
-//                 SecondLayerIndex (y-fast + validity vectors);
+//                 SecondLayerIndex (sorted padded keys + validity
+//                 vectors, space modelled as the paper's y-fast trie);
 // and carries S_last (the last min(w,|S|) bits) for verification.
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -82,15 +84,17 @@ class TwoLayerIndex {
 
   // First-layer membership: is some root anchored at this pivot hash?
   bool has_pivot(std::uint64_t spre_fp) const { return first_.contains(spre_fp); }
-  // Second-layer query: the best stored S_rem for the path window below
-  // the pivot (paper's "find it or one of its direct children").
-  std::optional<std::pair<core::BitString, std::uint64_t>> locate(
-      std::uint64_t spre_fp, const core::BitString& window) const;
+  // Second-layer query: the payload of the best stored S_rem for the
+  // path window below the pivot (paper's "find it or one of its direct
+  // children"). The window is the first `len` (<= w) bits of `bits`,
+  // most significant first.
+  std::optional<std::uint64_t> locate(std::uint64_t spre_fp, std::uint64_t bits,
+                                      std::size_t len) const;
 
   std::size_t space_words() const;
 
   // Deep structural check of every second-layer index (validity vectors,
-  // y-fast consistency). "" when healthy.
+  // sorted arrays, replayed y-fast buckets). "" when healthy.
   std::string debug_check() const;
 
  private:
@@ -143,19 +147,31 @@ struct HashMatchStats {
   std::uint64_t rejected_collisions = 0;
 };
 
+// The entries an index's payloads name: kEntry payloads index `entries`,
+// kChild payloads index `children`. A rejected candidate's meta-tree
+// parent (the Section 4.4.2 "direct child" case) is looked up through
+// `piece` when set, else by scanning `entries`.
+struct EntryResolver {
+  std::span<const MetaEntry> entries;
+  std::span<const ChildPieceRef> children;
+  const Piece* piece = nullptr;
+
+  static EntryResolver of(const Piece& p) { return {p.entries, p.children, &p}; }
+  const MetaEntry* entry(IndexPayload pl) const {
+    return pl.kind == IndexPayload::kEntry ? &entries[pl.idx] : &children[pl.idx].root;
+  }
+  const MetaEntry* parent(BlockId b) const;
+};
+
 // Pivot-based HashMatching of a query piece against a two-layer index.
 // Returns at most one (the deepest verified) match point per piece edge.
-// `resolve` maps a candidate payload to its MetaEntry; `resolve_block`
-// maps a meta-tree parent pointer to an entry of the same index (used
-// for the Section 4.4.2 "direct child" case), or nullptr.
 struct ResolvedMatch {
   MatchPoint point;
   const MetaEntry* entry = nullptr;
 };
-std::vector<ResolvedMatch> hash_match(
-    const QueryPiece& q, const TwoLayerIndex& idx, const hash::PolyHasher& hasher,
-    unsigned w, const std::function<const MetaEntry*(IndexPayload)>& resolve,
-    const std::function<const MetaEntry*(BlockId)>& resolve_block, HashMatchStats* stats,
-    std::uint64_t* work);
+std::vector<ResolvedMatch> hash_match(const QueryPiece& q, const TwoLayerIndex& idx,
+                                      const hash::PolyHasher& hasher, unsigned w,
+                                      const EntryResolver& resolve, HashMatchStats* stats,
+                                      std::uint64_t* work);
 
 }  // namespace ptrie::pimtrie

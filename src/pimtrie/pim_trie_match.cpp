@@ -274,10 +274,8 @@ std::vector<PimTrie::CriticalRoot> PimTrie::match_critical_roots(trie::QueryTrie
         for (std::uint32_t i = 0; i < children.size(); ++i)
           idx.insert(hasher_, children[i].root, {IndexPayload::kChild, i});
         HashMatchStats hms;
-        auto ms = hash_match(
-            qpieces[p.work_idx], idx, hasher_, cfg_.w,
-            [&](IndexPayload pl) -> const MetaEntry* { return &children[pl.idx].root; },
-            nullptr, &hms, nullptr);
+        auto ms = hash_match(qpieces[p.work_idx], idx, hasher_, cfg_.w, {{}, children}, &hms,
+                             nullptr);
         verify_.rejected_collisions += hms.rejected_collisions;
         for (auto& m : ms) {
           NodeId node = materialize(qt, m.point.origin, m.point.abs_depth);
@@ -295,13 +293,8 @@ std::vector<PimTrie::CriticalRoot> PimTrie::match_critical_roots(trie::QueryTrie
         Piece piece = Piece::deserialize(r);
         piece.build_index(hasher_, cfg_.w);
         HashMatchStats hms;
-        auto ms = hash_match(
-            qpieces[p.work_idx], piece.index(), hasher_, cfg_.w,
-            [&](IndexPayload pl) -> const MetaEntry* {
-              return pl.kind == IndexPayload::kEntry ? &piece.entries[pl.idx]
-                                                     : &piece.children[pl.idx].root;
-            },
-            [&](BlockId b) { return piece.entry_of(b); }, &hms, nullptr);
+        auto ms = hash_match(qpieces[p.work_idx], piece.index(), hasher_, cfg_.w,
+                             EntryResolver::of(piece), &hms, nullptr);
         verify_.rejected_collisions += hms.rejected_collisions;
         for (auto& m : ms) {
           NodeId node = materialize(qt, m.point.origin, m.point.abs_depth);

@@ -1,17 +1,16 @@
-// Unit + property tests: x-fast trie, y-fast trie, z-fast trie, and the
-// Section 4.4.2 two-layer SecondLayerIndex — all against brute-force
-// reference models.
+// Unit + property tests: z-fast trie and the Section 4.4.2 two-layer
+// SecondLayerIndex — against brute-force reference models, and the
+// second layer's modelled space against its y-fast trie cost model.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "fasttrie/second_layer.hpp"
-#include "fasttrie/xfast.hpp"
-#include "fasttrie/yfast.hpp"
 #include "fasttrie/zfast.hpp"
 #include "trie/patricia.hpp"
 #include "workload/generators.hpp"
@@ -22,103 +21,7 @@ using ptrie::core::BitString;
 using ptrie::core::Rng;
 using ptrie::fasttrie::SecondLayerIndex;
 using ptrie::fasttrie::two_fattest;
-using ptrie::fasttrie::XFastTrie;
-using ptrie::fasttrie::YFastTrie;
 using ptrie::fasttrie::ZFastTrie;
-
-template <class Trie>
-void ordered_set_property_test(unsigned width, std::uint64_t seed, std::size_t ops) {
-  Trie t(width);
-  std::set<std::uint64_t> model;
-  Rng rng(seed);
-  std::uint64_t mask = width == 64 ? ~0ull : ((1ull << width) - 1);
-  for (std::size_t i = 0; i < ops; ++i) {
-    std::uint64_t key = rng() & mask;
-    switch (rng.below(4)) {
-      case 0:
-      case 1: {
-        bool fresh = model.insert(key).second;
-        EXPECT_EQ(t.insert(key), fresh);
-        break;
-      }
-      case 2: {
-        // Erase something present half the time.
-        std::uint64_t victim = key;
-        if (!model.empty() && rng.coin()) {
-          auto it = model.lower_bound(key);
-          if (it == model.end()) it = model.begin();
-          victim = *it;
-        }
-        bool present = model.erase(victim) > 0;
-        EXPECT_EQ(t.erase(victim), present);
-        break;
-      }
-      default: {
-        // pred / succ probes.
-        auto it = model.upper_bound(key);
-        std::optional<std::uint64_t> want_pred;
-        if (it != model.begin()) want_pred = *std::prev(it);
-        if (model.contains(key)) want_pred = key;
-        auto it2 = model.lower_bound(key);
-        std::optional<std::uint64_t> want_succ;
-        if (it2 != model.end()) want_succ = *it2;
-        EXPECT_EQ(t.pred(key), want_pred) << "pred(" << key << ")";
-        EXPECT_EQ(t.succ(key), want_succ) << "succ(" << key << ")";
-        EXPECT_EQ(t.contains(key), model.contains(key));
-        break;
-      }
-    }
-    EXPECT_EQ(t.size(), model.size());
-  }
-}
-
-TEST(XFast, PropertyWidth8) { ordered_set_property_test<XFastTrie>(8, 21, 3000); }
-TEST(XFast, PropertyWidth16) { ordered_set_property_test<XFastTrie>(16, 22, 3000); }
-TEST(XFast, PropertyWidth64) { ordered_set_property_test<XFastTrie>(64, 23, 1500); }
-
-TEST(XFast, LcpLevel) {
-  XFastTrie t(8);
-  t.insert(0b10110000);
-  t.insert(0b10111111);
-  EXPECT_EQ(t.lcp_level(0b10110000), 8u);
-  EXPECT_EQ(t.lcp_level(0b10111110), 7u);
-  EXPECT_EQ(t.lcp_level(0b10100000), 3u);
-  EXPECT_EQ(t.lcp_level(0b01000000), 0u);
-}
-
-TEST(XFast, MinMax) {
-  XFastTrie t(16);
-  EXPECT_FALSE(t.min().has_value());
-  for (std::uint64_t v : {900u, 5u, 30000u, 77u}) t.insert(v);
-  EXPECT_EQ(t.min(), std::optional<std::uint64_t>(5));
-  EXPECT_EQ(t.max(), std::optional<std::uint64_t>(30000));
-  t.erase(5);
-  EXPECT_EQ(t.min(), std::optional<std::uint64_t>(77));
-}
-
-TEST(YFast, PropertyWidth16) { ordered_set_property_test<YFastTrie>(16, 24, 3000); }
-TEST(YFast, PropertyWidth64) { ordered_set_property_test<YFastTrie>(64, 25, 1500); }
-
-TEST(YFast, BucketsStayBounded) {
-  YFastTrie t(16);
-  Rng rng(26);
-  for (int i = 0; i < 4000; ++i) t.insert(rng() & 0xFFFF);
-  // O(n/w) buckets for n keys of width w.
-  EXPECT_LE(t.bucket_count(), t.size() / 4 + 2);
-  EXPECT_GE(t.bucket_count(), t.size() / (2 * 16 + 1));
-}
-
-TEST(YFast, SpaceLinear) {
-  YFastTrie t(64);
-  Rng rng(27);
-  std::size_t n = 3000;
-  for (std::size_t i = 0; i < n; ++i) t.insert(rng());
-  // Linear space: well under the O(n*w) an x-fast trie would need.
-  XFastTrie x(64);
-  Rng rng2(27);
-  for (std::size_t i = 0; i < n; ++i) x.insert(rng2());
-  EXPECT_LT(t.space_words(), x.space_words() / 4);
-}
 
 TEST(TwoFattest, Definition) {
   // two_fattest(a, b] = the value in (a, b] divisible by the largest
@@ -227,7 +130,7 @@ TEST(SecondLayer, PaperContractSmallW) {
       // maximum LCP with q (ties may resolve to root-or-direct-child;
       // both verify downstream).
       std::size_t want_lcp = want->lcp(q);
-      EXPECT_EQ(got->lcp, want_lcp) << "q=" << q.to_binary() << " got=" << got->str.to_binary()
+      EXPECT_EQ(got->lcp, want_lcp) << "q=" << q.to_binary() << " got=" << got->str().to_binary()
                                     << " want=" << want->to_binary();
     }
   }
@@ -243,7 +146,7 @@ TEST(SecondLayer, OnPathChainReturnsDeepest) {
     idx.insert(spine.prefix(len), len);
   auto got = idx.query(spine);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->str.size(), 12u);
+  EXPECT_EQ(got->str().size(), 12u);
   EXPECT_EQ(got->lcp, 12u);
 }
 
@@ -279,7 +182,7 @@ TEST(SecondLayer, EmptyStringStoredFullWidth) {
   for (const BitString& query : {q, BitString::from_uint(0, 64), BitString()}) {
     auto got = idx.query(query);
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->str.size(), 0u);
+    EXPECT_EQ(got->str().size(), 0u);
     EXPECT_EQ(got->payload, 7u);
     EXPECT_EQ(got->lcp, 0u);
   }
@@ -294,9 +197,119 @@ TEST(SecondLayer, Figure5Example) {
   // Query S'_rem = "0" (padded to "000"/"011").
   auto got = idx.query(BitString::from_binary("0"));
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->str.to_binary(), "01");
+  EXPECT_EQ(got->str().to_binary(), "01");
   EXPECT_EQ(got->payload, 42u);
   EXPECT_EQ(got->lcp, 1u);
+}
+
+// ---- SecondLayerIndex: modelled space ----
+
+// Seeded insert/erase history over strings shorter than w: grow until
+// buckets split, churn, then erase everything so buckets merge and
+// vanish. Folds space_words() after every operation into a digest.
+struct SpaceTrace {
+  std::uint64_t digest = 1469598103934665603ull;
+  std::size_t peak = 0;
+  std::size_t after_grow = 0;
+  std::size_t after_churn = 0;
+  std::size_t final_words = 0;
+};
+
+SpaceTrace space_trace(unsigned w, std::uint64_t seed, std::size_t grow) {
+  SecondLayerIndex idx(w);
+  Rng rng(seed);
+  std::vector<BitString> live;
+  SpaceTrace t;
+  auto record = [&] {
+    std::size_t words = idx.space_words();
+    t.digest = (t.digest ^ words) * 1099511628211ull;
+    t.peak = std::max(t.peak, words);
+  };
+  auto random_string = [&] {
+    BitString s;
+    for (std::size_t b = 0, len = rng.below(w); b < len; ++b) s.push_back(rng.coin());
+    return s;
+  };
+  auto insert = [&] {
+    BitString s = random_string();
+    if (!idx.contains(s)) live.push_back(s);
+    idx.insert(s, rng());
+    record();
+  };
+  auto erase = [&] {
+    if (live.empty()) return;
+    std::size_t i = rng.below(live.size());
+    EXPECT_TRUE(idx.erase(live[i]));
+    live[i] = live.back();
+    live.pop_back();
+    record();
+  };
+  for (std::size_t i = 0; i < grow; ++i) insert();
+  t.after_grow = idx.space_words();
+  EXPECT_EQ(idx.debug_check(), "");
+  for (std::size_t i = 0; i < 2 * grow; ++i) rng.coin() ? insert() : erase();
+  t.after_churn = idx.space_words();
+  EXPECT_EQ(idx.debug_check(), "");
+  while (!live.empty()) erase();
+  t.final_words = idx.space_words();
+  return t;
+}
+
+// Golden space_words() traces recorded from the pointer-based y-fast
+// implementation (x-fast top of per-level hash maps over std::set
+// buckets) that the flat arrays replaced: the modelled space of every
+// intermediate state must be unchanged. w = 8 and w = 64 split buckets
+// above 2w keys and merge them below w/4 (the w = 64 runs merge the
+// first bucket into its right neighbor too); w = 4 only splits.
+TEST(SecondLayer, ModelledSpaceMatchesYFast) {
+  struct Golden {
+    unsigned w;
+    std::uint64_t seed;
+    std::size_t grow;
+    std::uint64_t digest;
+    std::size_t peak, after_grow, after_churn, final_words;
+  };
+  const Golden golden[] = {
+      {4, 41, 40, 0xffa311b5effffbafull, 106, 106, 39, 0},
+      {8, 42, 400, 0x09bc35b5fecb2aa4ull, 1147, 1147, 40, 0},
+      {64, 43, 400, 0xbe24954c4cd7bc1dull, 5029, 4967, 4969, 0},
+      {64, 44, 1500, 0xac5a7609a7316b14ull, 18415, 18026, 17200, 0},
+  };
+  for (const Golden& g : golden) {
+    SpaceTrace t = space_trace(g.w, g.seed, g.grow);
+    EXPECT_EQ(t.digest, g.digest) << "w=" << g.w << " seed=" << g.seed;
+    EXPECT_EQ(t.peak, g.peak) << "w=" << g.w;
+    EXPECT_EQ(t.after_grow, g.after_grow) << "w=" << g.w;
+    EXPECT_EQ(t.after_churn, g.after_churn) << "w=" << g.w;
+    EXPECT_EQ(t.final_words, g.final_words) << "w=" << g.w;
+  }
+}
+
+// The closed form for the x-fast top equals three words per distinct
+// prefix at every level 0..w plus three per leaf.
+TEST(SecondLayer, XFastTopClosedForm) {
+  Rng rng(45);
+  for (unsigned w : {1u, 4u, 8u, 64u}) {
+    std::uint64_t mask = w == 64 ? ~0ull : ((1ull << w) - 1);
+    for (int trial = 0; trial < 50; ++trial) {
+      std::set<std::uint64_t> keys;
+      // Clustered keys share long prefixes; uniform ones diverge early.
+      std::uint64_t base = rng() & mask;
+      for (std::size_t i = 0, n = rng.below(trial < 5 ? 3 : 200); i < n; ++i)
+        keys.insert((rng.coin() ? base ^ (rng() & 0xFF) : rng()) & mask);
+      std::size_t want = 0;
+      if (!keys.empty()) {
+        for (unsigned l = 0; l <= w; ++l) {
+          std::set<std::uint64_t> prefixes;
+          for (std::uint64_t k : keys) prefixes.insert(l == 0 ? 0 : k >> (w - l));
+          want += 3 * prefixes.size();
+        }
+        want += 3 * keys.size();
+      }
+      std::vector<std::uint64_t> sorted(keys.begin(), keys.end());
+      EXPECT_EQ(ptrie::fasttrie::xfast_space_words(sorted, w), want) << "w=" << w;
+    }
+  }
 }
 
 }  // namespace

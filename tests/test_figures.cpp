@@ -355,11 +355,8 @@ TEST(Figure5, PivotMatchingFindsRootViaChild) {
   piece.trie = qt.trie.extract(qt.trie.root(), /*is_cut=*/{});
 
   HashMatchStats stats;
-  auto ms = hash_match(
-      piece, idx, hasher, w,
-      [&](IndexPayload pl) -> const MetaEntry* { return pl.idx == 0 ? &r : &k; },
-      [&](BlockId b) -> const MetaEntry* { return b == 1 ? &r : (b == 2 ? &k : nullptr); },
-      &stats, nullptr);
+  const std::vector<MetaEntry> entries = {r, k};  // payload idx 0 -> R, 1 -> K
+  auto ms = hash_match(piece, idx, hasher, w, {entries}, &stats, nullptr);
   ASSERT_EQ(ms.size(), 1u);
   EXPECT_EQ(ms[0].entry->block, 1u);        // resolved to R
   EXPECT_EQ(ms[0].point.abs_depth, 10u);
@@ -404,29 +401,32 @@ TEST(Figure5, TwoLayerGoldenLookup) {
   ASSERT_TRUE(idx.has_pivot(fp));
   EXPECT_FALSE(idx.has_pivot(fp ^ 1));
 
+  // Payload idx 0 is the shallow S_rem "01", idx 1 the deep "0110".
+  auto locate = [&](std::uint64_t pivot_fp, const char* window) {
+    BitString q = BitString::from_binary(window);
+    return idx.locate(pivot_fp, q.word(0), q.size());
+  };
   // Window continuing past both roots: the deeper S_rem wins.
-  auto got = idx.locate(fp, BitString::from_binary("011010"));
+  auto got = locate(fp, "011010");
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->first.to_binary(), "0110");
-  EXPECT_EQ(IndexPayload::decode(got->second).idx, 1u);
+  EXPECT_EQ(IndexPayload::decode(*got).idx, 1u);
 
   // Window ending exactly at the shallow root.
-  got = idx.locate(fp, BitString::from_binary("01"));
+  got = locate(fp, "01");
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->first.to_binary(), "01");
-  EXPECT_EQ(IndexPayload::decode(got->second).idx, 0u);
+  EXPECT_EQ(IndexPayload::decode(*got).idx, 0u);
 
   // After erasing the deeper root the same long window resolves to the
   // shallow sibling again.
   idx.erase(hasher, deep);
   EXPECT_EQ(idx.size(), 1u);
   EXPECT_EQ(idx.debug_check(), "");
-  got = idx.locate(fp, BitString::from_binary("011010"));
+  got = locate(fp, "011010");
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->first.to_binary(), "01");
+  EXPECT_EQ(IndexPayload::decode(*got).idx, 0u);
 
   // Unknown pivot: no first-layer bucket, no answer.
-  EXPECT_FALSE(idx.locate(fp ^ 1, BitString::from_binary("01")).has_value());
+  EXPECT_FALSE(locate(fp ^ 1, "01").has_value());
 }
 
 }  // namespace

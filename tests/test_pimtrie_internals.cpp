@@ -277,9 +277,10 @@ TEST(TwoLayer, InsertLocateErase) {
   e.root_hash = h.hash(s);
   idx.insert(h, e, {IndexPayload::kEntry, 0});
   EXPECT_TRUE(idx.has_pivot(h.fingerprint(e.spre_hash)));
-  auto res = idx.locate(h.fingerprint(e.spre_hash), BitString::from_binary("1011011"));
+  BitString window = BitString::from_binary("1011011");
+  auto res = idx.locate(h.fingerprint(e.spre_hash), window.word(0), window.size());
   ASSERT_TRUE(res.has_value());
-  EXPECT_EQ(res->first, s);
+  EXPECT_EQ(*res, (IndexPayload{IndexPayload::kEntry, 0}).encode());
   idx.erase(h, e);
   EXPECT_FALSE(idx.has_pivot(h.fingerprint(e.spre_hash)));
 }
@@ -320,7 +321,8 @@ void expect_same_index(const Piece& a, const Piece& b, const PolyHasher& h, unsi
     for (int k = 0; k < 3; ++k) {
       BitString window = e->srem;
       window.append(random_bits(rng, rng() % (w - window.size() + 1)));
-      EXPECT_EQ(a.index().locate(fp, window), b.index().locate(fp, window));
+      EXPECT_EQ(a.index().locate(fp, window.word(0), window.size()),
+                b.index().locate(fp, window.word(0), window.size()));
     }
     const MetaEntry* ea = a.entry_of(e->block);
     const MetaEntry* eb = b.entry_of(e->block);
@@ -410,15 +412,7 @@ TEST(HashMatch, DeepestPerEdgeOnly) {
   piece.root_pivot_hash = h.empty();
   piece.trie = qt.trie.extract(qt.trie.root(), /*is_cut=*/{});
 
-  auto ms = hash_match(
-      piece, idx, h, w,
-      [&](IndexPayload pl) -> const MetaEntry* { return &entries[pl.idx]; },
-      [&](BlockId b) -> const MetaEntry* {
-        for (const auto& e : entries)
-          if (e.block == b) return &e;
-        return nullptr;
-      },
-      nullptr, nullptr);
+  auto ms = hash_match(piece, idx, h, w, {entries}, nullptr, nullptr);
   ASSERT_EQ(ms.size(), 1u);
   EXPECT_EQ(ms[0].point.abs_depth, 30u);
 }
@@ -448,9 +442,7 @@ TEST(HashMatch, SlastRejectsForgedEntry) {
   piece.root_pivot_hash = h.empty();
   piece.trie = qt.trie.extract(qt.trie.root(), /*is_cut=*/{});
   HashMatchStats stats;
-  auto ms = hash_match(
-      piece, idx, h, w, [&](IndexPayload) -> const MetaEntry* { return &e; },
-      nullptr, &stats, nullptr);
+  auto ms = hash_match(piece, idx, h, w, {std::span<const MetaEntry>(&e, 1)}, &stats, nullptr);
   EXPECT_TRUE(ms.empty());
   EXPECT_GE(stats.rejected_collisions, 0u);
 }
